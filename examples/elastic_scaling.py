@@ -10,7 +10,7 @@ adding/removing instances breaks connections (Section 2.3, Problem 2).
 Run:  python examples/elastic_scaling.py
 """
 
-from repro.core.controller import AutoscaleConfig
+from repro.autoscale import Autoscaler, ElasticPolicy
 from repro.core.instance import YodaCostModel
 from repro.experiments.harness import Testbed, TestbedConfig
 
@@ -28,9 +28,9 @@ def main() -> None:
     controller = bed.yoda.controller
     for _ in range(2):
         bed.yoda.new_spare_instance()
-    controller.enable_autoscaling(AutoscaleConfig(
-        high_watermark=0.70, target=0.55, check_interval=3.0,
-    ))
+    controller.attach_autoscaler(Autoscaler(controller, ElasticPolicy(
+        high_watermark=0.70, target=0.55, check_interval=3.0, drain=False,
+    )))
 
     generator = bed.open_loop(rate=450.0)  # ~150 req/s per instance
     bed.loop.call_later(9.0, lambda: generator.set_rate(900.0))

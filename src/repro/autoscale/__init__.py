@@ -15,8 +15,8 @@ The subsystem splits the loop into three testable layers:
   every decision.
 
 Nothing here runs unless explicitly armed (``YodaService.enable_elastic``
-or the legacy ``controller.enable_autoscaling``), so golden traces stay
-bit-identical by construction.
+or ``controller.attach_autoscaler``), so golden traces stay bit-identical
+by construction.
 """
 
 from repro.autoscale.engine import Autoscaler, ScaleEvent

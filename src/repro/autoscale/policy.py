@@ -3,11 +3,9 @@
 The engine is deliberately free of simulator state -- it consumes a
 :class:`~repro.autoscale.signals.SignalSnapshot` and returns a
 :class:`ScaleDecision`; the actuation (and every side effect) lives in
-:mod:`repro.autoscale.engine`.  That split is what lets the legacy
+:mod:`repro.autoscale.engine`.  That split is what lets the
 Fig. 13 CPU-watermark policy ride the same code path as the full
-elastic policy: :meth:`ElasticPolicy.from_legacy` maps the old
-``AutoscaleConfig`` onto a preset whose decisions are arithmetic-
-identical to the historical ``_autoscale_pass``.
+elastic policy: the defaults with ``drain=False`` are that preset.
 
 State machine (per the auto-scaling-group pattern)::
 
@@ -32,8 +30,9 @@ from repro.autoscale.signals import SignalSnapshot
 
 @dataclass
 class ElasticPolicy:
-    """Knobs for the closed loop.  Defaults mirror the legacy Fig. 13
-    preset; ``from_legacy`` is the canonical way to get that preset."""
+    """Knobs for the closed loop.  The defaults with ``drain=False`` are
+    the Fig. 13 CPU-watermark preset: no cooldowns, no step limits,
+    quiet capacity starvation."""
 
     # hysteresis band on the primary (CPU) signal
     high_watermark: float = 0.70  # add capacity above this average CPU
@@ -58,34 +57,13 @@ class ElasticPolicy:
     drain_deadline: Optional[float] = None  # None = controller default
     # refuse new decisions while a drain is still in flight, and raise
     # typed errors instead of silently holding (the modern loop); the
-    # legacy preset keeps the historical quiet behavior
+    # Fig. 13 preset keeps the historical quiet behavior
     serialize_events: bool = False
     # -- store-replica elasticity -----------------------------------------
     scale_stores: bool = False
     instances_per_store: int = 3  # target ceil(live / this) store servers
     min_stores: int = 2  # never below the replication factor
     max_stores: int = 0  # 0 = unbounded
-
-    @classmethod
-    def from_legacy(cls, cfg) -> "ElasticPolicy":
-        """Compatibility preset for ``core.controller.AutoscaleConfig``:
-        same watermarks, same sizing rule, no cooldowns, no step limits,
-        quiet capacity starvation -- decision-for-decision identical to
-        the pre-subsystem ``_autoscale_pass``."""
-        return cls(
-            high_watermark=cfg.high_watermark,
-            low_watermark=cfg.low_watermark,
-            target=cfg.target,
-            check_interval=cfg.check_interval,
-            scale_down=cfg.scale_down,
-            drain=cfg.drain,
-            cooldown_out=0.0,
-            cooldown_in=0.0,
-            step_out=0,
-            step_in=1,
-            min_instances=1,
-            serialize_events=False,
-        )
 
 
 @dataclass

@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.flowstate import client_key
+from repro.core.flowstate import client_key, server_key
 from repro.kvstore.memcached import version_newer
+from repro.net.addresses import Endpoint
+from repro.net.packet import ACK, FIN, RST, SYN, flags_to_str
 from repro.obs import OBS
 from repro.sim.process import PeriodicTask
 from repro.sim.tracing import TraceRecord
@@ -93,7 +95,6 @@ class _FlowAudit:
     __slots__ = (
         "opened_at", "client_isn", "synack_seen", "acked_req_bytes",
         "resp_bytes", "fin_from_lb", "fin_from_client", "rst_from_lb",
-        "last_activity",
     )
 
     def __init__(self, opened_at: float):
@@ -105,7 +106,78 @@ class _FlowAudit:
         self.fin_from_lb = False
         self.fin_from_client = False
         self.rst_from_lb = False
-        self.last_activity = opened_at
+
+    def clean(self) -> bool:
+        """Orderly close both ways with response bytes delivered."""
+        return self.fin_from_lb and self.fin_from_client and self.resp_bytes > 0
+
+
+Flow = Tuple[Endpoint, Endpoint]  # (client endpoint, VIP endpoint)
+
+
+def flow_name(flow: Flow) -> str:
+    return f"{flow[0]}>{flow[1]}"
+
+
+class ClientFlowAudit:
+    """The client-facing flow table both trace monitors audit.
+
+    :meth:`update` folds one wire-tx record into its (client, VIP:80)
+    flow; it is the only place :class:`_FlowAudit` fields change.  A
+    monitor's own checks hook in at the LB-to-client SYN-ACK
+    (``on_synack``, before ``synack_seen`` is set) and RST (``on_reset``,
+    before ``rst_from_lb`` is set); each hook gets ``(rec, flow, audit)``.
+    """
+
+    def __init__(self, vips: Set[str],
+                 on_synack: Optional[Callable] = None,
+                 on_reset: Optional[Callable] = None):
+        self.vips = vips
+        self.on_synack = on_synack
+        self.on_reset = on_reset
+        self.flows: Dict[Flow, _FlowAudit] = {}
+        self.acks_folded = 0  # LB-to-client ACKs folded into acked_req_bytes
+
+    def update(self, rec: TraceRecord) -> bool:
+        """Fold a wire-tx record into its flow; False if not client-facing."""
+        src, dst, flags = rec.src, rec.dst, rec.flags
+        if dst.port == 80 and dst.ip in self.vips:
+            to_client = False
+            flow = (src, dst)
+        elif src.port == 80 and src.ip in self.vips:
+            to_client = True
+            flow = (dst, src)
+        else:
+            return False
+        audit = self.flows.get(flow)
+        if audit is None:
+            # LB spoke first?  Only possible for stray RSTs; track anyway.
+            audit = self.flows[flow] = _FlowAudit(rec.time)
+        if not to_client:
+            if flags & SYN and audit.client_isn is None:
+                audit.client_isn = rec.seq
+            if flags & FIN:
+                audit.fin_from_client = True
+            return True
+        if flags & SYN and flags & ACK:
+            if self.on_synack is not None:
+                self.on_synack(rec, flow, audit)
+            audit.synack_seen = True
+        if flags & RST:
+            if self.on_reset is not None:
+                self.on_reset(rec, flow, audit)
+            audit.rst_from_lb = True
+            return True
+        if flags & FIN:
+            audit.fin_from_lb = True
+        if not rec.dropped:
+            audit.resp_bytes += rec.payload_len
+        if flags & ACK and audit.client_isn is not None:
+            self.acks_folded += 1
+            acked = seq_diff(rec.ack, (audit.client_isn + 1) & 0xFFFFFFFF)
+            if acked > audit.acked_req_bytes:
+                audit.acked_req_bytes = acked
+        return True
 
 
 class InvariantMonitor:
@@ -125,10 +197,13 @@ class InvariantMonitor:
                                       and stateless.enabled))
         self.check_storage = check_storage
         self.vips: Set[str] = {bed.vip}
-        self._vip_client_eps = {f"{vip}:80" for vip in self.vips}
-        self.flows: Dict[str, _FlowAudit] = {}
-        self._server_pairs_synned: Set[str] = set()
-        self._server_pairs_checked: Set[str] = set()
+        self.client_flows = ClientFlowAudit(
+            self.vips,
+            on_synack=self._check_storage_a if check_storage else None,
+            on_reset=self._check_acked_byte_loss,
+        )
+        self._server_pairs_synned: Set[Flow] = set()
+        self._server_pairs_checked: Set[Flow] = set()
         self.violations: Dict[str, List[Violation]] = {}
         self.violation_counts: Dict[str, int] = {}
         self.checks: Dict[str, int] = {
@@ -145,95 +220,64 @@ class InvariantMonitor:
         self.records_seen += 1
         self._digest.update(
             f"{rec.time:.9f}|{rec.point}|{rec.direction}|{rec.src}|{rec.dst}|"
-            f"{rec.flags}|{rec.seq}|{rec.ack}|{rec.payload_len}|{rec.dropped}"
-            .encode()
+            f"{flags_to_str(rec.flags)}|{rec.seq}|{rec.ack}|"
+            f"{rec.payload_len}|{rec.dropped}".encode()
         )
         # Audit the wire-tx stream only: each send appears exactly once
         # there (the mux -> instance hop is an in-DC deliver, not a wire
         # transmission, so no packet is double-counted).
         if rec.point != "wire" or rec.direction != "tx":
             return
-        if rec.dst in self._vip_client_eps:
-            self._on_client_to_lb(rec)
-        elif rec.src in self._vip_client_eps:
-            self._on_lb_to_client(rec)
-        elif self.check_storage and self._is_vip_snat(rec.src):
+        if self.client_flows.update(rec):
+            return
+        src = rec.src
+        if self.check_storage and src.port != 80 and src.ip in self.vips:
             self._on_lb_to_server(rec)
 
-    def _is_vip_snat(self, ep: str) -> bool:
-        ip, _, port = ep.rpartition(":")
-        return ip in self.vips and port != "80"
-
     # ----------------------------------------------------- client-side audit --
-    def _on_client_to_lb(self, rec: TraceRecord) -> None:
-        flow_id = f"{rec.src}>{rec.dst}"
-        audit = self.flows.get(flow_id)
-        if audit is None:
-            audit = self.flows[flow_id] = _FlowAudit(rec.time)
-        audit.last_activity = rec.time
-        if "S" in rec.flags and audit.client_isn is None:
-            audit.client_isn = rec.seq
-        if "F" in rec.flags:
-            audit.fin_from_client = True
-
-    def _on_lb_to_client(self, rec: TraceRecord) -> None:
-        flow_id = f"{rec.dst}>{rec.src}"
-        audit = self.flows.get(flow_id)
-        if audit is None:
-            # LB spoke first?  Only possible for stray RSTs; track anyway.
-            audit = self.flows[flow_id] = _FlowAudit(rec.time)
-        audit.last_activity = rec.time
-        if "S" in rec.flags and "." in rec.flags:  # tcpdump style: ACK is "."
-            # SYN-ACK on the wire: storage-a must already be durable.
-            if self.check_storage and not audit.fin_from_lb:
-                self.checks["storage-before-ack"] += 1
-                key = client_key(rec.dst, rec.src)
-                if not self._stored_somewhere(key):
-                    self._violate(
-                        "storage-before-ack", rec.time, flow_id,
-                        f"SYN-ACK sent but {key!r} is on no live store",
-                    )
-            audit.synack_seen = True
-        if "R" in rec.flags:
-            audit.rst_from_lb = True
-            if audit.acked_req_bytes > 0:
-                self._violate(
-                    "acked-byte-loss", rec.time, flow_id,
-                    f"RST to client after ACKing {audit.acked_req_bytes} "
-                    f"request bytes",
-                )
+    def _check_storage_a(self, rec: TraceRecord, flow: Flow,
+                         audit: _FlowAudit) -> None:
+        # SYN-ACK on the wire: storage-a must already be durable.
+        if audit.fin_from_lb:
             return
-        if "F" in rec.flags:
-            audit.fin_from_lb = True
-        if not rec.dropped:
-            audit.resp_bytes += rec.payload_len
-        if "." in rec.flags and audit.client_isn is not None:
-            self.checks["acked-byte-loss"] += 1
-            acked = seq_diff(rec.ack, (audit.client_isn + 1) & 0xFFFFFFFF)
-            if acked > audit.acked_req_bytes:
-                audit.acked_req_bytes = acked
+        self.checks["storage-before-ack"] += 1
+        key = client_key(rec.dst, rec.src)
+        if not self._stored_somewhere(key):
+            self._violate(
+                "storage-before-ack", rec.time, flow_name(flow),
+                f"SYN-ACK sent but {key!r} is on no live store",
+            )
+
+    def _check_acked_byte_loss(self, rec: TraceRecord, flow: Flow,
+                               audit: _FlowAudit) -> None:
+        if audit.acked_req_bytes > 0:
+            self._violate(
+                "acked-byte-loss", rec.time, flow_name(flow),
+                f"RST to client after ACKing {audit.acked_req_bytes} "
+                f"request bytes",
+            )
 
     # ----------------------------------------------------- server-side audit --
     def _on_lb_to_server(self, rec: TraceRecord) -> None:
-        pair = f"{rec.src}>{rec.dst}"
-        if "S" in rec.flags:
+        pair = (rec.src, rec.dst)
+        flags = rec.flags
+        if flags & SYN:
             # A new backend connection attempt resets this pair's audit
             # (backend switches reuse the SNAT port against a new server).
             self._server_pairs_synned.add(pair)
             self._server_pairs_checked.discard(pair)
             return
-        if ("." in rec.flags and "R" not in rec.flags and "F" not in rec.flags
+        if (flags & ACK and not flags & (RST | FIN)
                 and pair in self._server_pairs_synned
                 and pair not in self._server_pairs_checked):
             # First ACK completing the backend handshake: storage-b (the
             # updated client record + server-side index) must be durable.
             self._server_pairs_checked.add(pair)
             self.checks["storage-before-ack"] += 1
-            vip_ip, _, snat_port = rec.src.rpartition(":")
-            key = f"yoda:s:{vip_ip}:{snat_port}:{rec.dst}"
+            key = server_key(rec.src.ip, rec.src.port, rec.dst)
             if not self._stored_somewhere(key):
                 self._violate(
-                    "storage-before-ack", rec.time, pair,
+                    "storage-before-ack", rec.time, flow_name(pair),
                     f"backend handshake ACK sent but {key!r} is on no "
                     f"live store",
                 )
@@ -274,17 +318,15 @@ class InvariantMonitor:
         """
         now = self.bed.loop.now()
         if strict_before is not None:
-            for flow_id, audit in self.flows.items():
+            for flow, audit in self.client_flows.flows.items():
                 if audit.client_isn is None or audit.opened_at >= strict_before:
                     continue
                 self.checks["flow-conservation"] += 1
                 if audit.rst_from_lb:
                     continue  # already reported under acked-byte-loss
-                clean = (audit.fin_from_lb and audit.fin_from_client
-                         and audit.resp_bytes > 0)
-                if not clean:
+                if not audit.clean():
                     self._violate(
-                        "flow-conservation", now, flow_id,
+                        "flow-conservation", now, flow_name(flow),
                         f"flow opened at {audit.opened_at:.3f}s never "
                         f"finished (synack={audit.synack_seen} "
                         f"resp_bytes={audit.resp_bytes} "
@@ -305,6 +347,9 @@ class InvariantMonitor:
                         f"{len(ports)} SNAT ports leaked for {vip}: "
                         f"{sorted(ports)[:8]}",
                     )
+        # every LB-to-client ACK folded into a flow's acked bytes is one
+        # acked-byte-loss check
+        self.checks["acked-byte-loss"] = self.client_flows.acks_folded
         out = []
         for invariant, checked in self.checks.items():
             count = self.violation_counts.get(invariant, 0)
@@ -350,77 +395,52 @@ class NoAcceptedRequestDropped:
 
     def __init__(self, bed):
         self.bed = bed
-        self.vips: Set[str] = {bed.vip}
-        self._vip_client_eps = {f"{vip}:80" for vip in self.vips}
-        self.flows: Dict[str, _FlowAudit] = {}
+        self.client_flows = ClientFlowAudit({bed.vip},
+                                            on_reset=self._check_reset)
+        self._judged_at_reset: Set[Flow] = set()
         self.checks = 0
         self.violations: List[Violation] = []
         self.violation_count = 0
 
-    def _violate(self, time: float, flow: str, detail: str) -> None:
+    def _violate(self, time: float, flow: Flow, detail: str) -> None:
         self.violation_count += 1
         if len(self.violations) < MAX_VIOLATIONS_KEPT:
-            self.violations.append(Violation(self.invariant, time, flow,
-                                             detail,
+            self.violations.append(Violation(self.invariant, time,
+                                             flow_name(flow), detail,
                                              forensics=_forensics_tail()))
 
     def record(self, rec: TraceRecord) -> None:
-        if rec.point != "wire" or rec.direction != "tx":
-            return
-        if rec.dst in self._vip_client_eps:
-            flow_id = f"{rec.src}>{rec.dst}"
-            audit = self.flows.get(flow_id)
-            if audit is None:
-                audit = self.flows[flow_id] = _FlowAudit(rec.time)
-            audit.last_activity = rec.time
-            if "S" in rec.flags and audit.client_isn is None:
-                audit.client_isn = rec.seq
-            if "F" in rec.flags:
-                audit.fin_from_client = True
-        elif rec.src in self._vip_client_eps:
-            flow_id = f"{rec.dst}>{rec.src}"
-            audit = self.flows.get(flow_id)
-            if audit is None:
-                audit = self.flows[flow_id] = _FlowAudit(rec.time)
-            audit.last_activity = rec.time
-            if "S" in rec.flags and "." in rec.flags:
-                audit.synack_seen = True
-            if "R" in rec.flags:
-                if (not audit.rst_from_lb and audit.synack_seen
-                        and audit.acked_req_bytes > 0):
-                    self.checks += 1
-                    self._violate(
-                        rec.time, flow_id,
-                        f"accepted request reset "
-                        f"({audit.acked_req_bytes} request bytes acked)",
-                    )
-                audit.rst_from_lb = True
-                return
-            if "F" in rec.flags:
-                audit.fin_from_lb = True
-            if not rec.dropped:
-                audit.resp_bytes += rec.payload_len
-            if "." in rec.flags and audit.client_isn is not None:
-                acked = seq_diff(rec.ack, (audit.client_isn + 1) & 0xFFFFFFFF)
-                if acked > audit.acked_req_bytes:
-                    audit.acked_req_bytes = acked
+        if rec.point == "wire" and rec.direction == "tx":
+            self.client_flows.update(rec)
+
+    def _check_reset(self, rec: TraceRecord, flow: Flow,
+                     audit: _FlowAudit) -> None:
+        if (not audit.rst_from_lb and audit.synack_seen
+                and audit.acked_req_bytes > 0):
+            self.checks += 1
+            self._judged_at_reset.add(flow)
+            self._violate(
+                rec.time, flow,
+                f"accepted request reset "
+                f"({audit.acked_req_bytes} request bytes acked)",
+            )
 
     def finalize(self, strict_before: Optional[float] = None) -> Verdict:
         now = self.bed.loop.now()
         if strict_before is not None:
-            for flow_id, audit in self.flows.items():
+            for flow, audit in self.client_flows.flows.items():
                 accepted = (audit.client_isn is not None and audit.synack_seen
                             and audit.acked_req_bytes > 0)
                 if not accepted or audit.opened_at >= strict_before:
                     continue  # never accepted: refusing it was legal
+                if flow in self._judged_at_reset:
+                    continue  # checked and reported at the RST
                 self.checks += 1
                 if audit.rst_from_lb:
-                    continue  # already reported at the RST
-                clean = (audit.fin_from_lb and audit.fin_from_client
-                         and audit.resp_bytes > 0)
-                if not clean:
+                    continue  # reset before it was accepted
+                if not audit.clean():
                     self._violate(
-                        now, flow_id,
+                        now, flow,
                         f"accepted flow (opened {audit.opened_at:.3f}s, "
                         f"{audit.acked_req_bytes} bytes acked) never "
                         f"finished (resp_bytes={audit.resp_bytes} "

@@ -126,20 +126,6 @@ class StandbyRegion:
     replicator: Optional[SiteReplicator] = None
 
 
-@dataclass
-class AutoscaleConfig:
-    """Scale-out policy for Figure 13."""
-
-    high_watermark: float = 0.70  # add instances above this average CPU
-    low_watermark: float = 0.25  # (optional) release spares below this
-    target: float = 0.55  # size so average CPU lands here
-    check_interval: float = 5.0
-    scale_down: bool = False
-    # scale in by draining (make-before-break) instead of the legacy
-    # instant removal that relies on TCPStore failover for every flow
-    drain: bool = False
-
-
 class YodaController:
     """Central control plane for one YODA deployment."""
 
@@ -171,7 +157,7 @@ class YodaController:
         self._instance_health = ControllerHealthView(down_after, up_after)
         self._kv_health = ControllerHealthView(down_after, up_after)
         # closed-loop elastic scaling (repro.autoscale); None until armed
-        # via enable_autoscaling (legacy preset) or attach_autoscaler
+        # via attach_autoscaler
         self.autoscaler = None
         self.draining: Set[str] = set()
         self.drain_deadline = drain_deadline
@@ -885,18 +871,6 @@ class YodaController:
         self.metrics.counter("stores_decommissioned").inc()
 
     # ------------------------------------------------------------- autoscale --
-    def enable_autoscaling(self, config: Optional[AutoscaleConfig] = None) -> None:
-        """Arm the legacy Fig. 13 CPU-watermark policy.  Since the
-        autoscale subsystem landed this is a compatibility preset: the
-        same watermark/sizing arithmetic runs through
-        ``repro.autoscale``'s policy engine, decision-for-decision
-        identical to the historical in-controller pass."""
-        from repro.autoscale.engine import Autoscaler
-        from repro.autoscale.policy import ElasticPolicy
-
-        policy = ElasticPolicy.from_legacy(config or AutoscaleConfig())
-        self.attach_autoscaler(Autoscaler(self, policy))
-
     def attach_autoscaler(self, autoscaler) -> None:
         """Bind (and start) a closed-loop autoscaler on this replica."""
         if self.autoscaler is not None:

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 from repro.analysis.stats import cdf_points, median, percentile
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 from repro.http.client import FetchResult
-from repro.sim.tracing import TraceRecord
 
 
 @dataclass
@@ -195,7 +194,7 @@ def run_timeline(
     backend = next(iter(bed.backends.values()))
     retrans = [
         r for r in bed.trace.retransmissions()
-        if r.time > t_fail and r.src.startswith(backend.ip)
+        if r.time > t_fail and r.src.ip == backend.ip
     ]
     for r in retrans[:4]:
         events.append(TimelineEvent(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.stats import mean, median
-from repro.core.controller import AutoscaleConfig
+from repro.autoscale import Autoscaler, ElasticPolicy
 from repro.core.instance import YodaCostModel
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 
@@ -48,9 +48,10 @@ def run(
     ))
     for _ in range(spare_instances):
         bed.yoda.new_spare_instance()
-    bed.yoda.controller.enable_autoscaling(AutoscaleConfig(
-        high_watermark=0.70, target=0.55, check_interval=5.0,
-    ))
+    controller = bed.yoda.controller
+    controller.attach_autoscaler(Autoscaler(controller, ElasticPolicy(
+        high_watermark=0.70, target=0.55, check_interval=5.0, drain=False,
+    )))
 
     gen = bed.open_loop(rate=base_rate_per_instance * initial_instances)
     samples: List[dict] = []

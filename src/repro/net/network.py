@@ -360,10 +360,9 @@ class Network:
             time=self.loop.now(),
             point=point,
             direction=direction,
-            summary=packet.summary(),
-            src=str(packet.src),
-            dst=str(packet.dst),
-            flags=flags_to_str(packet.flags),
+            src=packet.src,
+            dst=packet.dst,
+            flags=packet.flags,
             seq=packet.seq,
             ack=packet.ack,
             payload_len=packet.payload_len,

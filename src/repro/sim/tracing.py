@@ -3,14 +3,21 @@
 Figure 12(b) of the paper is a tcpdump captured at a backend server during a
 YODA instance failure.  :class:`PacketTrace` reproduces that: any host (or
 the network fabric itself) can attach one and every packet it sees is
-recorded with its simulated timestamp and a structured summary.
+recorded with its simulated timestamp and its typed header fields.
+
+Records stay typed end to end: taps test ``flags`` bits and ``Endpoint``
+fields directly, and text exists only where a sink renders it (``str`` of a
+record, :func:`canonical_trace_line` for the schedule digests).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
+
+from repro.net.addresses import Endpoint
+from repro.net.packet import SYN, flags_to_str
 
 
 @dataclass(frozen=True, slots=True)
@@ -20,10 +27,9 @@ class TraceRecord:
     time: float
     point: str  # capture point, e.g. "server-3" or "wire"
     direction: str  # "rx" or "tx"
-    summary: str  # human-readable one-liner, tcpdump style
-    src: str
-    dst: str
-    flags: str
+    src: Endpoint
+    dst: Endpoint
+    flags: int  # TCP flag bitmask (SYN, ACK, ... from repro.net.packet)
     seq: int
     ack: int
     payload_len: int
@@ -33,8 +39,8 @@ class TraceRecord:
         drop = " DROPPED" if self.dropped else ""
         return (
             f"{self.time:10.6f} {self.point} {self.direction} "
-            f"{self.src} > {self.dst}: {self.flags} seq={self.seq} "
-            f"ack={self.ack} len={self.payload_len}{drop}"
+            f"{self.src} > {self.dst}: {flags_to_str(self.flags)} "
+            f"seq={self.seq} ack={self.ack} len={self.payload_len}{drop}"
         )
 
 
@@ -47,8 +53,9 @@ def canonical_trace_line(rec: TraceRecord) -> str:
     """
     return (
         f"{rec.time:.9f} {rec.point} {rec.direction} "
-        f"{rec.src}>{rec.dst} {rec.flags} seq={rec.seq} ack={rec.ack} "
-        f"len={rec.payload_len}{' DROPPED' if rec.dropped else ''}"
+        f"{rec.src}>{rec.dst} {flags_to_str(rec.flags)} seq={rec.seq} "
+        f"ack={rec.ack} len={rec.payload_len}"
+        f"{' DROPPED' if rec.dropped else ''}"
     )
 
 
@@ -74,16 +81,14 @@ class DigestTrace:
 
 
 class PacketTrace:
-    """Accumulates :class:`TraceRecord` entries, with simple filtering."""
+    """Accumulates :class:`TraceRecord` entries."""
 
     def __init__(self, name: str = "trace"):
         self.name = name
         self.records: List[TraceRecord] = []
-        self.enabled = True
 
     def record(self, rec: TraceRecord) -> None:
-        if self.enabled:
-            self.records.append(rec)
+        self.records.append(rec)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -93,40 +98,18 @@ class PacketTrace:
 
     def filter(
         self,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
         *,
         point: Optional[str] = None,
         direction: Optional[str] = None,
-        flow_between: Optional[tuple] = None,
     ) -> List[TraceRecord]:
-        """Select records.
-
-        Args:
-            predicate: arbitrary filter applied last.
-            point: only records captured at this point.
-            direction: "rx" or "tx".
-            flow_between: (addr_a, addr_b) strings -- keep packets whose
-                src/dst endpoints are exactly this unordered pair (prefix
-                match, so "10.0.0.1" matches "10.0.0.1:80").
-        """
+        """Records captured at ``point`` and/or in ``direction`` ("rx" or
+        "tx")."""
         out: Iterable[TraceRecord] = self.records
         if point is not None:
             out = (r for r in out if r.point == point)
         if direction is not None:
             out = (r for r in out if r.direction == direction)
-        if flow_between is not None:
-            a, b = flow_between
-
-            def _matches(r: TraceRecord) -> bool:
-                fwd = r.src.startswith(a) and r.dst.startswith(b)
-                rev = r.src.startswith(b) and r.dst.startswith(a)
-                return fwd or rev
-
-            out = (r for r in out if _matches(r))
-        result = list(out)
-        if predicate is not None:
-            result = [r for r in result if predicate(r)]
-        return result
+        return list(out)
 
     def dump(self) -> str:
         """The whole trace as tcpdump-style text."""
@@ -138,7 +121,7 @@ class PacketTrace:
         seen = set()
         out = []
         for r in self.records:
-            if r.payload_len == 0 and "S" not in r.flags:
+            if r.payload_len == 0 and not r.flags & SYN:
                 continue
             key = (r.src, r.dst, r.seq, r.payload_len, r.flags)
             if key in seen:

@@ -18,7 +18,6 @@ from repro.autoscale import (
     SignalSnapshot,
 )
 from repro.chaos.library import get_scenario
-from repro.core.controller import AutoscaleConfig
 from repro.errors import ScaleEventConflict, SpareExhausted
 from repro.experiments.harness import Testbed, TestbedConfig
 
@@ -138,16 +137,15 @@ class TestCooldowns:
                                   drain_in_flight=True)
             assert decision.kind == "hold"
             assert "conflict" in decision.reason
-        # the legacy preset keeps the historical quiet behavior
-        legacy = PolicyEngine(ElasticPolicy.from_legacy(AutoscaleConfig()))
+        # the Fig. 13 preset keeps the historical quiet behavior
+        legacy = PolicyEngine(ElasticPolicy(drain=False))
         assert legacy.decide(snap(cpu=0.9), drain_in_flight=True).kind == "out"
 
 
 class TestLegacyPreset:
-    def test_from_legacy_is_decision_identical_arithmetic(self):
-        cfg = AutoscaleConfig(high_watermark=0.6, low_watermark=0.2,
-                              target=0.5, check_interval=2.0)
-        policy = ElasticPolicy.from_legacy(cfg)
+    def test_preset_is_decision_identical_arithmetic(self):
+        policy = ElasticPolicy(high_watermark=0.6, low_watermark=0.2,
+                               target=0.5, check_interval=2.0, drain=False)
         assert (policy.high_watermark, policy.low_watermark,
                 policy.target) == (0.6, 0.2, 0.5)
         # no modern safety rails: the preset must reproduce the

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http.client import BrowserClient
+from repro.net.addresses import Endpoint
 
 
 def make_bed(**overrides):
@@ -45,13 +46,13 @@ class TestProxying:
         backend_rx += bed.trace.filter(point="srv-2", direction="rx")
         assert backend_rx
         for rec in backend_rx:
-            assert rec.src.startswith("10.4."), rec  # proxy's own address
+            assert rec.src.ip.startswith("10.4."), rec  # proxy's own address
 
     def test_client_sees_vip(self):
         bed = make_bed(trace_packets=True)
         fetch(bed)
         for rec in bed.trace.filter(point="client-0", direction="rx"):
-            assert rec.src.startswith("100.0.0.1:80")
+            assert rec.src == Endpoint("100.0.0.1", 80)
 
     def test_rule_scan_recorded(self):
         bed = make_bed()

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.chaos.invariants import InvariantMonitor
+from repro.chaos.invariants import InvariantMonitor, NoAcceptedRequestDropped
 from repro.experiments.harness import Testbed, TestbedConfig
+from repro.net.addresses import Endpoint
+from repro.net.packet import ACK, FIN, RST, SYN
 from repro.sim.tracing import TraceRecord
 
-CLIENT = "172.16.0.1:40000"
+CLIENT = Endpoint("172.16.0.1", 40000)
 
 
 def make_bed(**overrides):
@@ -20,20 +22,20 @@ def make_bed(**overrides):
 def rec(time, src, dst, flags, seq=0, ack=0, payload_len=0, dropped=False,
         point="wire", direction="tx"):
     return TraceRecord(time=time, point=point, direction=direction,
-                       summary="", src=src, dst=dst, flags=flags, seq=seq,
+                       src=src, dst=dst, flags=flags, seq=seq,
                        ack=ack, payload_len=payload_len, dropped=dropped)
 
 
 def feed_clean_flow(monitor, vip_ep, t0=0.0, isn=1000, req=100, resp=500):
-    monitor.record(rec(t0, CLIENT, vip_ep, "S", seq=isn))
-    monitor.record(rec(t0 + 0.01, vip_ep, CLIENT, "S.", seq=5000, ack=isn + 1))
-    monitor.record(rec(t0 + 0.02, CLIENT, vip_ep, ".", seq=isn + 1,
+    monitor.record(rec(t0, CLIENT, vip_ep, SYN, seq=isn))
+    monitor.record(rec(t0 + 0.01, vip_ep, CLIENT, SYN | ACK, seq=5000, ack=isn + 1))
+    monitor.record(rec(t0 + 0.02, CLIENT, vip_ep, ACK, seq=isn + 1,
                        payload_len=req))
-    monitor.record(rec(t0 + 0.03, vip_ep, CLIENT, ".", seq=5001,
+    monitor.record(rec(t0 + 0.03, vip_ep, CLIENT, ACK, seq=5001,
                        ack=isn + 1 + req, payload_len=resp))
-    monitor.record(rec(t0 + 0.04, vip_ep, CLIENT, "F.", seq=5001 + resp,
+    monitor.record(rec(t0 + 0.04, vip_ep, CLIENT, FIN | ACK, seq=5001 + resp,
                        ack=isn + 1 + req))
-    monitor.record(rec(t0 + 0.05, CLIENT, vip_ep, "F.", seq=isn + 1 + req,
+    monitor.record(rec(t0 + 0.05, CLIENT, vip_ep, FIN | ACK, seq=isn + 1 + req,
                        ack=5002 + resp))
 
 
@@ -41,7 +43,7 @@ def feed_clean_flow(monitor, vip_ep, t0=0.0, isn=1000, req=100, resp=500):
 def monitor_world():
     bed = make_bed()
     monitor = InvariantMonitor(bed, check_storage=False)
-    return bed, monitor, f"{bed.vip}:80"
+    return bed, monitor, Endpoint(bed.vip, 80)
 
 
 class TestAckedByteLoss:
@@ -55,19 +57,19 @@ class TestAckedByteLoss:
 
     def test_rst_after_acked_bytes_is_a_violation(self, monitor_world):
         _, monitor, vip_ep = monitor_world
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
-        monitor.record(rec(0.02, CLIENT, vip_ep, ".", seq=1001, payload_len=80))
-        monitor.record(rec(0.03, vip_ep, CLIENT, ".", seq=5001, ack=1081))
-        monitor.record(rec(0.04, vip_ep, CLIENT, "R.", seq=5001, ack=1081))
+        monitor.record(rec(0.0, CLIENT, vip_ep, SYN, seq=1000))
+        monitor.record(rec(0.01, vip_ep, CLIENT, SYN | ACK, seq=5000, ack=1001))
+        monitor.record(rec(0.02, CLIENT, vip_ep, ACK, seq=1001, payload_len=80))
+        monitor.record(rec(0.03, vip_ep, CLIENT, ACK, seq=5001, ack=1081))
+        monitor.record(rec(0.04, vip_ep, CLIENT, RST | ACK, seq=5001, ack=1081))
         verdicts = {v.invariant: v for v in monitor.finalize()}
         assert not verdicts["acked-byte-loss"].ok
         assert "80 request bytes" in str(verdicts["acked-byte-loss"].violations[0])
 
     def test_rst_before_any_ack_is_permitted(self, monitor_world):
         _, monitor, vip_ep = monitor_world
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "R.", seq=0, ack=1001))
+        monitor.record(rec(0.0, CLIENT, vip_ep, SYN, seq=1000))
+        monitor.record(rec(0.01, vip_ep, CLIENT, RST | ACK, seq=0, ack=1001))
         verdicts = {v.invariant: v for v in monitor.finalize()}
         assert verdicts["acked-byte-loss"].ok
 
@@ -75,37 +77,69 @@ class TestAckedByteLoss:
 class TestFlowConservation:
     def test_unfinished_flow_is_a_violation(self, monitor_world):
         _, monitor, vip_ep = monitor_world
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
+        monitor.record(rec(0.0, CLIENT, vip_ep, SYN, seq=1000))
+        monitor.record(rec(0.01, vip_ep, CLIENT, SYN | ACK, seq=5000, ack=1001))
         verdicts = {v.invariant: v for v in monitor.finalize(strict_before=1.0)}
         assert not verdicts["flow-conservation"].ok
 
     def test_late_flows_are_not_judged(self, monitor_world):
         _, monitor, vip_ep = monitor_world
-        monitor.record(rec(5.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.record(rec(5.0, CLIENT, vip_ep, SYN, seq=1000))
         verdicts = {v.invariant: v for v in monitor.finalize(strict_before=1.0)}
         assert verdicts["flow-conservation"].ok
         assert verdicts["flow-conservation"].checked == 0
+
+
+class TestNoAcceptedRequestDropped:
+    def _accept(self, monitor, vip_ep):
+        monitor.record(rec(0.0, CLIENT, vip_ep, SYN, seq=1000))
+        monitor.record(rec(0.01, vip_ep, CLIENT, SYN | ACK, seq=5000, ack=1001))
+        monitor.record(rec(0.02, CLIENT, vip_ep, ACK, seq=1001, payload_len=80))
+        monitor.record(rec(0.03, vip_ep, CLIENT, ACK, seq=5001, ack=1081))
+
+    def test_reset_after_accept_is_checked_once(self, monitor_world):
+        bed, _, vip_ep = monitor_world
+        monitor = NoAcceptedRequestDropped(bed)
+        self._accept(monitor, vip_ep)
+        monitor.record(rec(0.04, vip_ep, CLIENT, RST | ACK, seq=5001, ack=1081))
+        verdict = monitor.finalize(strict_before=1.0)
+        assert (verdict.checked, verdict.violation_count) == (1, 1)
+
+    def test_reset_before_accept_is_legal(self, monitor_world):
+        bed, _, vip_ep = monitor_world
+        monitor = NoAcceptedRequestDropped(bed)
+        monitor.record(rec(0.0, CLIENT, vip_ep, SYN, seq=1000))
+        monitor.record(rec(0.01, vip_ep, CLIENT, RST | ACK, seq=0, ack=1001))
+        verdict = monitor.finalize(strict_before=1.0)
+        assert verdict.ok and verdict.checked == 0
+
+    def test_accepted_flow_that_vanishes_is_a_violation(self, monitor_world):
+        bed, _, vip_ep = monitor_world
+        monitor = NoAcceptedRequestDropped(bed)
+        self._accept(monitor, vip_ep)
+        verdict = monitor.finalize(strict_before=1.0)
+        assert (verdict.checked, verdict.violation_count) == (1, 1)
+        assert "never finished" in verdict.violations[0].detail
 
 
 class TestStorageBeforeAck:
     def test_synack_without_durable_record_is_a_violation(self):
         bed = make_bed()
         monitor = InvariantMonitor(bed)  # yoda bed: storage checks on
-        vip_ep = f"{bed.vip}:80"
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
+        vip_ep = Endpoint(bed.vip, 80)
+        monitor.record(rec(0.0, CLIENT, vip_ep, SYN, seq=1000))
+        monitor.record(rec(0.01, vip_ep, CLIENT, SYN | ACK, seq=5000, ack=1001))
         verdicts = {v.invariant: v for v in monitor.finalize()}
         assert not verdicts["storage-before-ack"].ok
 
     def test_synack_with_durable_record_passes(self):
         bed = make_bed()
         monitor = InvariantMonitor(bed)
-        vip_ep = f"{bed.vip}:80"
+        vip_ep = Endpoint(bed.vip, 80)
         key = f"yoda:c:{CLIENT}:{vip_ep}"
         bed.yoda.store_servers[0]._set(key, b"state")
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
+        monitor.record(rec(0.0, CLIENT, vip_ep, SYN, seq=1000))
+        monitor.record(rec(0.01, vip_ep, CLIENT, SYN | ACK, seq=5000, ack=1001))
         verdicts = {v.invariant: v for v in monitor.finalize()}
         assert verdicts["storage-before-ack"].ok
         assert verdicts["storage-before-ack"].checked == 1
@@ -113,12 +147,12 @@ class TestStorageBeforeAck:
     def test_record_on_failed_store_does_not_count(self):
         bed = make_bed()
         monitor = InvariantMonitor(bed)
-        vip_ep = f"{bed.vip}:80"
+        vip_ep = Endpoint(bed.vip, 80)
         key = f"yoda:c:{CLIENT}:{vip_ep}"
         bed.yoda.store_servers[0]._set(key, b"state")
         bed.yoda.store_servers[0].fail()
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
+        monitor.record(rec(0.0, CLIENT, vip_ep, SYN, seq=1000))
+        monitor.record(rec(0.01, vip_ep, CLIENT, SYN | ACK, seq=5000, ack=1001))
         verdicts = {v.invariant: v for v in monitor.finalize()}
         assert not verdicts["storage-before-ack"].ok
 
@@ -160,7 +194,7 @@ class TestDigest:
         other = InvariantMonitor(bed, check_storage=False)
         feed_clean_flow(monitor, vip_ep)
         feed_clean_flow(other, vip_ep)
-        other.record(rec(9.0, CLIENT, vip_ep, ".", point="yoda-0",
+        other.record(rec(9.0, CLIENT, vip_ep, ACK, point="yoda-0",
                          direction="rx"))
         assert monitor.digest() != other.digest()
 

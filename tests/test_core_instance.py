@@ -10,7 +10,10 @@ from repro.core.flowstate import yoda_isn
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http.client import BrowserClient
 from repro.net.addresses import Endpoint
+from repro.net.packet import ACK, SYN
 from repro.sim.tracing import PacketTrace
+
+VIP_EP = Endpoint("100.0.0.1", 80)
 
 
 def make_bed(**overrides) -> Testbed:
@@ -51,32 +54,30 @@ class TestBasicOperation:
         bed = make_bed()
         fetch(bed)
         for rec in bed.trace.filter(point="client-0", direction="rx"):
-            assert rec.src.startswith("100.0.0.1:80"), rec
+            assert rec.src == VIP_EP, rec
 
     def test_server_only_ever_talks_to_vip(self):
         bed = make_bed()
         fetch(bed)
         for rec in bed.trace.filter(point="srv-0", direction="rx"):
-            assert rec.src.startswith("100.0.0.1:"), rec
+            assert rec.src.ip == "100.0.0.1", rec
 
     def test_synack_isn_is_the_hash(self):
         bed = make_bed()
         fetch(bed)
         synacks = [r for r in bed.trace.filter(point="client-0", direction="rx")
-                   if r.flags == "S."]
+                   if r.flags == SYN | ACK]
         assert synacks
-        client_ep = Endpoint.parse(synacks[0].dst)
-        vip_ep = Endpoint("100.0.0.1", 80)
-        assert synacks[0].seq == yoda_isn(client_ep, vip_ep)
+        assert synacks[0].seq == yoda_isn(synacks[0].dst, VIP_EP)
 
     def test_server_syn_reuses_client_isn(self):
         """The paper's trick: client->server bytes need no seq rewriting."""
         bed = make_bed()
         fetch(bed)
         client_syns = [r for r in bed.trace.records
-                       if r.flags == "S" and r.dst.startswith("100.0.0.1:80")]
+                       if r.flags == SYN and r.dst == VIP_EP]
         server_syns = [r for r in bed.trace.records
-                       if r.flags == "S" and r.dst.startswith("10.3.")]
+                       if r.flags == SYN and r.dst.ip.startswith("10.3.")]
         assert client_syns and server_syns
         assert server_syns[0].seq == client_syns[0].seq
 
@@ -93,10 +94,10 @@ class TestBasicOperation:
         """storage-a completes before the SYN-ACK leaves (Figure 3)."""
         bed = make_bed()
         fetch(bed)
-        synack = next(r for r in bed.trace.records if r.flags == "S."
-                      and r.src.startswith("100.0.0.1"))
+        synack = next(r for r in bed.trace.records if r.flags == SYN | ACK
+                      and r.src.ip == "100.0.0.1")
         stores = [r for r in bed.trace.records
-                  if r.dst.endswith(":11211") and r.time <= synack.time]
+                  if r.dst.port == 11211 and r.time <= synack.time]
         assert stores, "no TCPStore write before the SYN-ACK"
 
     def test_traffic_accounting_per_vip(self):

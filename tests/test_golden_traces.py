@@ -36,7 +36,7 @@ import pytest
 
 from repro.chaos.library import get_scenario
 from repro.chaos.scenario import ScenarioEngine
-from repro.sim.tracing import TraceRecord
+from repro.sim.tracing import TraceRecord, canonical_trace_line
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_SCHEMA = "golden-trace/v1"
@@ -62,15 +62,6 @@ SCENARIO_VARIANTS: Dict[str, Dict] = {
 }
 
 
-def canonical_line(rec: TraceRecord) -> str:
-    """One record as a stable, readable line; the digest is over these."""
-    return (
-        f"{rec.time:.9f} {rec.point} {rec.direction} "
-        f"{rec.src}>{rec.dst} {rec.flags} seq={rec.seq} ack={rec.ack} "
-        f"len={rec.payload_len}{' DROPPED' if rec.dropped else ''}"
-    )
-
-
 class GoldenRecorder:
     """A packet-trace tap that folds every record into SHA-256 digests.
 
@@ -87,7 +78,7 @@ class GoldenRecorder:
         self.lines: List[str] = []
 
     def record(self, rec: TraceRecord) -> None:
-        line = canonical_line(rec)
+        line = canonical_trace_line(rec)
         data = line.encode()
         self._full.update(data)
         self._block.update(data)

@@ -7,6 +7,7 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http.message import HttpRequest
 from repro.http.parser import HttpParser
 from repro.net.addresses import Endpoint
+from repro.net.packet import RST
 from repro.tcp.endpoint import ConnectionHandler
 
 
@@ -136,7 +137,7 @@ class TestBackendSwitching:
         run_keepalive(bed, ["/obj/0.bin", "/obj/1.bin"])
         # the retired srv-0 connection received a RST from the VIP
         rsts = [r for r in bed.trace.filter(point="srv-0", direction="rx")
-                if "R" in r.flags]
+                if r.flags & RST]
         assert rsts, "old backend connection was not torn down"
 
     def test_flow_state_updated_in_tcpstore_after_switch(self):

@@ -171,11 +171,11 @@ class TestTlsFailover:
         assert result.ok
         cert_first = next(
             r for r in bed.trace.records
-            if r.src.startswith("100.0.0.1:80") and r.payload_len > 0
+            if r.src == Endpoint("100.0.0.1", 80) and r.payload_len > 0
         )
         store_writes = [
             r for r in bed.trace.records
-            if r.dst.endswith(":11211") and r.time <= cert_first.time
+            if r.dst.port == 11211 and r.time <= cert_first.time
         ]
         # SYN storage-a plus the hello-prefix update
         assert len(store_writes) >= 2
