@@ -1,7 +1,7 @@
 """The Figure 7 ILP, solved by LP relaxation + rounding + greedy repair.
 
 The paper solves the ILP with CPLEX at a 10% optimality gap.  CPLEX is not
-available here, so we substitute: scipy's HiGGS LP solver relaxes
+available here, so we substitute: scipy's HiGHS LP solver relaxes
 x_vy, y_y to [0, 1]; each VIP then keeps its n_v highest-valued instances
 (ties broken toward the old assignment to avoid migration); the greedy
 solver repairs any capacity violations and fills gaps; finally a
@@ -13,22 +13,12 @@ approximation can cost instances but never correctness.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.core.assignment.constraints import validate_assignment
 from repro.core.assignment.greedy import compact_assignment, solve_greedy
 from repro.core.assignment.problem import Assignment, AssignmentProblem
 from repro.errors import InfeasibleError
-
-try:  # pragma: no cover - import guard
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
 
 
 class IlpSolver:
@@ -48,7 +38,7 @@ class IlpSolver:
 
     def solve(self, problem: AssignmentProblem) -> Assignment:
         start = time.perf_counter()
-        pinned = self._lp_round(problem) if _HAVE_SCIPY else None
+        pinned = self._lp_round(problem)
         assignment = solve_greedy(
             problem,
             enforce_update_constraints=self.enforce_update_constraints,
@@ -84,9 +74,18 @@ class IlpSolver:
 
     # ------------------------------------------------------------ LP phase --
     def _lp_round(self, problem: AssignmentProblem) -> Optional[Dict[str, List[str]]]:
+        # the LP stack loads on first solve, not at import: no simulator run
+        # solves an LP, and numpy/scipy would be most of its start-up time
+        # and memory.  Without them, return None and solve() uses greedy.
         vips, insts = problem.vips, problem.instances
         nv, ny = len(vips), len(insts)
         if nv == 0 or ny == 0:
+            return None
+        try:
+            import numpy as np
+            from scipy.optimize import linprog
+            from scipy.sparse import csr_matrix
+        except ImportError:
             return None
         n_x = nv * ny
 

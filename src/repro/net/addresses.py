@@ -14,12 +14,14 @@ from typing import Iterator, Tuple
 
 from repro.errors import AddressError
 
-_IP_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
+# ASCII digits only, matched against the whole string: ``\d`` would admit
+# other scripts' digits and ``$`` a trailing newline
+_IP_RE = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})")
 
 
 def validate_ip(ip: str) -> str:
     """Return ``ip`` if it is a well-formed dotted quad, else raise."""
-    m = _IP_RE.match(ip)
+    m = _IP_RE.fullmatch(ip)
     if not m or any(int(octet) > 255 for octet in m.groups()):
         raise AddressError(f"invalid IPv4 address {ip!r}")
     return ip
@@ -34,7 +36,9 @@ class Endpoint:
 
     def __post_init__(self) -> None:
         validate_ip(self.ip)
-        if not 0 <= self.port <= 65535:
+        # a bool is an int but renders as "True": string flow keys would
+        # then disagree with tuple equality
+        if type(self.port) is not int or not 0 <= self.port <= 65535:
             raise AddressError(f"invalid port {self.port}")
 
     def __str__(self) -> str:

@@ -12,7 +12,12 @@ class TestValidateIp:
         assert validate_ip("10.0.0.1") == "10.0.0.1"
         assert validate_ip("255.255.255.255")
 
-    @pytest.mark.parametrize("bad", ["256.0.0.1", "1.2.3", "a.b.c.d", "", "1.2.3.4.5"])
+    @pytest.mark.parametrize("bad", [
+        "256.0.0.1", "1.2.3", "a.b.c.d", "", "1.2.3.4.5",
+        "10.0.0.1\n",                   # "$" alone matches before a newline
+        "\u0661\u0660.0.0.1",           # Arabic-Indic digits match "\d"
+        " 10.0.0.1", "10.0.0.1 ",
+    ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(AddressError):
             validate_ip(bad)
@@ -32,6 +37,13 @@ class TestEndpoint:
     def test_invalid_port(self):
         with pytest.raises(AddressError):
             Endpoint("10.0.0.1", 70000)
+
+    @pytest.mark.parametrize("port", [True, False, 80.0, "80"])
+    def test_port_must_be_int(self, port):
+        # Endpoint("10.0.0.1", True) == Endpoint("10.0.0.1", 1) but renders
+        # as "10.0.0.1:True", so string flow keys would disagree
+        with pytest.raises(AddressError):
+            Endpoint("10.0.0.1", port)
 
     def test_hashable_and_ordered(self):
         a = Endpoint("10.0.0.1", 80)
